@@ -4,7 +4,7 @@ Not a paper experiment — it tracks the cost of regenerating Table 1 by
 measuring simulated cycles per second for the golden and latency-insensitive
 simulators on the Figure 1 processor.  The latency-insensitive runs are
 parametrised over the simulation kernels (``reference`` is the object-based
-executable specification, ``fast`` the array-based hot path; see
+executable specification, ``compiled`` the production kernel; see
 ``repro.engine`` and DESIGN.md), so ``pytest benchmarks/benchmark_simulator.py
 --benchmark-only`` doubles as the kernel speedup report.
 """
@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 
-KERNELS = ("reference", "fast")
+KERNELS = ("reference", "compiled")
 
 
 def _cpu():

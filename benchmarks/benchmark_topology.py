@@ -3,7 +3,7 @@
 Three measurements anchor the topology-general engine (DESIGN.md §10):
 
 * **chain floor** — the original chain-shaped path must not pay for the
-  generality: the fast kernel's speedup over the reference kernel on a
+  generality: the default kernel's speedup over the reference kernel on a
   generated chain is recorded and gated by ``check_perf_floor.py
   --topology-floor`` in CI, so an index-layout regression that slows the
   chain shows up at PR time;
@@ -12,7 +12,7 @@ Three measurements anchor the topology-general engine (DESIGN.md §10):
   static m/(m+n) bound (the cheap end-to-end correctness smoke) and
   recording the throughput series;
 * **graph-workload sweep** — a PageRank PE ring swept over relay-station
-  depths under the fast and lockstep kernels, asserting cycle-identical
+  depths under the compiled and lockstep kernels, asserting cycle-identical
   rows (the lockstep path takes the vector route: PageRank declares a pure
   firing-count done threshold) and recording both wall-clocks.
 
@@ -76,9 +76,10 @@ def _timed(fn):
     return result, time.perf_counter() - start
 
 
-def test_chain_path_keeps_its_fast_kernel_floor(topology_record):
-    """Generality must be free on the chain: fast >> reference still holds."""
+def test_chain_path_keeps_its_default_kernel_floor(topology_record):
+    """Generality must be free on the chain: default >> reference still holds."""
     from repro.core import run_lid
+    from repro.engine import resolve_kernel_name
     from repro.topology import chain_topology
 
     topology = chain_topology(stages=CHAIN_STAGES, source_limit=CHAIN_LIMIT)
@@ -92,19 +93,20 @@ def test_chain_path_keeps_its_fast_kernel_floor(topology_record):
     reference, reference_seconds = _timed(
         lambda: run_lid(topology.netlist, kernel="reference", **kwargs)
     )
-    fast, fast_seconds = _timed(
-        lambda: run_lid(topology.netlist, kernel="fast", **kwargs)
+    default, default_seconds = _timed(
+        lambda: run_lid(topology.netlist, **kwargs)
     )
-    assert fast.cycles == reference.cycles
-    assert fast.firings == reference.firings
+    assert default.cycles == reference.cycles
+    assert default.firings == reference.firings
 
     topology_record["chain"] = {
         "stages": CHAIN_STAGES,
         "source_limit": CHAIN_LIMIT,
-        "cycles": fast.cycles,
+        "cycles": default.cycles,
+        "kernel": resolve_kernel_name(None),
         "reference_seconds": reference_seconds,
-        "fast_seconds": fast_seconds,
-        "fast_vs_reference": reference_seconds / fast_seconds,
+        "default_seconds": default_seconds,
+        "default_vs_reference": reference_seconds / default_seconds,
     }
 
 
@@ -141,8 +143,8 @@ def test_zoo_sweep_matches_static_bounds(topology_record):
     topology_record["zoo_sweep"] = {"horizon": SWEEP_HORIZON, **sweeps}
 
 
-def test_pagerank_ring_lockstep_matches_fast(topology_record):
-    """RS sweep of a PageRank PE ring: lockstep rows == fast rows."""
+def test_pagerank_ring_lockstep_matches_compiled(topology_record):
+    """RS sweep of a PageRank PE ring: lockstep rows == compiled rows."""
     pytest.importorskip("numpy")
     from repro.engine.batch import BatchRunner
     from repro.workloads import make_pagerank_workload
@@ -162,22 +164,22 @@ def test_pagerank_ring_lockstep_matches_fast(topology_record):
 
     seconds = {}
     outcomes = {}
-    for kernel in ("fast", "lockstep"):
+    for kernel in ("compiled", "lockstep"):
         runner = BatchRunner(workload.netlist, kernel=kernel)
         results, seconds[kernel] = _timed(
             lambda runner=runner: runner.run_many(rows, **kwargs)
         )
         outcomes[kernel] = [(r.cycles, r.firings, r.halted) for r in results]
-    assert outcomes["fast"] == outcomes["lockstep"]
+    assert outcomes["compiled"] == outcomes["lockstep"]
 
-    cycles = [row[0] for row in outcomes["fast"]]
+    cycles = [row[0] for row in outcomes["compiled"]]
     assert cycles == sorted(cycles)  # deeper rings are monotonically slower
     topology_record["pagerank_ring"] = {
         "n_pe": 3,
         "rounds": PAGERANK_ROUNDS,
         "depths": PAGERANK_DEPTHS,
-        "fast_seconds": seconds["fast"],
+        "compiled_seconds": seconds["compiled"],
         "lockstep_seconds": seconds["lockstep"],
-        "lockstep_vs_fast": seconds["fast"] / seconds["lockstep"],
+        "lockstep_vs_compiled": seconds["compiled"] / seconds["lockstep"],
         "cycles": cycles,
     }

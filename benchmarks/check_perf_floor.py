@@ -5,6 +5,9 @@ Reads the newest record of the ``BENCH_kernel.json`` history (produced by
 
 * the compiled kernel's minimum speedup over the reference kernel across
   all Table 1 rows drops below ``--floor``;
+* the default kernel costs more than ``--sweep-us-ceiling`` µs per
+  simulated cycle on the serial 64-row Table-1 sweep (an absolute gate
+  next to the ratios, code generation included);
 * the long-horizon steady-state floors regress: compiled + steady-state
   extrapolation must beat the reference kernel by ``--steady-floor`` at the
   short measurement horizon and the compiled kernel without detection by
@@ -23,9 +26,9 @@ Reads the newest record of the ``BENCH_kernel.json`` history (produced by
   times faster than the cold run, and the cold run must have streamed its
   first row before half its wall-clock;
 * with ``--topology-floor`` (reads the newest ``BENCH_topology.json``
-  record, produced by ``benchmark_topology.py``): the fast kernel's speedup
-  over the reference kernel on the generated *chain* topology — the guard
-  that the topology-general index layouts did not tax the original
+  record, produced by ``benchmark_topology.py``): the default kernel's
+  speedup over the reference kernel on the generated *chain* topology — the
+  guard that the topology-general index layouts did not tax the original
   chain-shaped path.
 
 CI runs this after the quick benchmark so hot-path regressions are caught
@@ -57,6 +60,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--floor", type=float, default=6.0,
         help="minimum compiled/reference speedup (default: 6)",
+    )
+    parser.add_argument(
+        "--sweep-us-ceiling", type=float, default=12.0,
+        help=(
+            "maximum default-kernel µs per simulated cycle on the serial "
+            "64-row Table-1 sweep (default: 12)"
+        ),
     )
     parser.add_argument(
         "--steady-floor", type=float, default=25.0,
@@ -111,7 +121,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--topology-floor", type=float, default=None, metavar="X",
         help=(
-            "minimum fast/reference speedup on the generated chain topology "
+            "minimum default-kernel/reference speedup on the generated chain "
+            "topology "
             "(reads the BENCH_topology.json history; omitted: not checked)"
         ),
     )
@@ -154,6 +165,28 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         failed = True
+
+    sweep = latest.get("table1_sweep")
+    if not sweep:
+        print(
+            "perf floor FAILED: record carries no table1_sweep measurement",
+            file=sys.stderr,
+        )
+        failed = True
+    else:
+        cost = sweep["us_per_cycle"]
+        print(
+            f"perf floor: {sweep.get('kernel')} kernel {cost:.2f} us/cycle on "
+            f"the {sweep.get('rows')}-row Table-1 sweep, ceiling "
+            f"{args.sweep_us_ceiling:.2f}"
+        )
+        if cost > args.sweep_us_ceiling:
+            print(
+                f"perf floor FAILED: {cost:.2f} us/cycle > "
+                f"{args.sweep_us_ceiling:.2f} on the Table-1 sweep",
+                file=sys.stderr,
+            )
+            failed = True
 
     steady = latest.get("steady_state")
     if not steady:
@@ -352,7 +385,7 @@ def _check_cache_floor(record_path: Path, floor: float) -> bool:
 
 
 def _check_topology_floor(record_path: Path, floor: float) -> bool:
-    """Enforce the generated-chain fast/reference floor; True on failure."""
+    """Enforce the generated-chain default/reference floor; True on failure."""
     if not record_path.exists():
         print(
             f"perf floor FAILED: no topology record at {record_path} "
@@ -372,16 +405,17 @@ def _check_topology_floor(record_path: Path, floor: float) -> bool:
             file=sys.stderr,
         )
         return True
-    speedup = chain.get("fast_vs_reference", 0.0)
+    speedup = chain.get("default_vs_reference", 0.0)
     print(
-        f"perf floor: topology chain fast/reference {speedup:.1f}x "
+        f"perf floor: topology chain {chain.get('kernel')}/reference "
+        f"{speedup:.1f}x "
         f"({chain.get('stages')} stages, {chain.get('cycles')} cycles, "
         f"floor {floor:.1f}x) "
         f"[record {latest.get('timestamp', '?')}, quick={latest.get('quick')}]"
     )
     if speedup < floor:
         print(
-            f"perf floor FAILED: chain-topology fast kernel {speedup:.1f}x < "
+            f"perf floor FAILED: chain-topology default kernel {speedup:.1f}x < "
             f"{floor:.1f}x over reference",
             file=sys.stderr,
         )

@@ -13,7 +13,7 @@ The package is organised in three layers:
 * :mod:`repro.engine` — the layered simulation engine behind
   :class:`repro.core.simulator.LidSimulator`: elaboration of netlists into
   flat runtime models, selectable execution kernels (object-based reference /
-  array-based fast), opt-in instrumentation passes, and the batch runner that
+  codegen-compiled production kernel), opt-in instrumentation passes, and the batch runner that
   evaluates many relay-station configurations against one elaborated model.
 * :mod:`repro.experiments` — harnesses regenerating every table and figure of
   the paper (Table 1 for both workloads, the Figure 1 loop report, the

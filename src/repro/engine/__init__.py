@@ -6,11 +6,12 @@ observers composed on top):
 
 * :mod:`repro.engine.elaboration` — compile a netlist + relay-station
   configuration into a flat, integer-indexed :class:`ElaboratedModel`;
-* :mod:`repro.engine.kernel` — the :class:`SimKernel` interface with three
-  implementations: the object-based :class:`ReferenceKernel` (the executable
-  specification), the array-based :class:`FastKernel` (the default) and the
-  codegen-specialized :class:`CompiledKernel` (the hot path; see
-  :mod:`repro.engine.codegen`);
+* :mod:`repro.engine.kernel` — the :class:`SimKernel` interface with the
+  object-based :class:`ReferenceKernel` (the executable specification), the
+  codegen-specialized :class:`CompiledKernel` (the production kernel and the
+  default, also registered under its former name ``"fast"`` as
+  :class:`FastKernel`; see :mod:`repro.engine.codegen`) and the vectorised
+  :class:`LockstepKernel`;
 * :mod:`repro.engine.instrumentation` — traces, shell statistics and queue
   occupancy as opt-in passes (:class:`InstrumentSet`);
 * :mod:`repro.engine.steady_state` — steady-state period detection and
@@ -37,9 +38,8 @@ facade over this package.
 
 from .batch import BatchResult, BatchRunner, MultiNetlistRunner
 from .codegen import generate_run_source
-from .compiled import CompiledKernel
+from .compiled import CompiledKernel, FastKernel
 from .elaboration import ElaboratedModel, Elaborator, NetlistLayout, elaborate, resolve_rs_counts
-from .fast import FastKernel
 from .faults import FAULTS_ENV_VAR, FaultPlan, FaultSpec
 from .instrumentation import InstrumentSet
 from .kernel import (

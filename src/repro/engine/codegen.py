@@ -1,39 +1,37 @@
 """Code generation for the compiled kernel: netlist -> specialized Python.
 
-The fast kernel already removed every per-cycle name lookup, but it still
-*interprets* the elaborated model each cycle: generic loops over shell
-records, per-port loops with tuple unpacking, a generic loop over the
-precomputed relay-station hops.  This module removes that last layer of
-interpretation by emitting Python **source** specialized to one elaborated
-model:
+The production kernel emits Python **source** specialized to one netlist
+layout and compiles it into an entire run loop:
 
-* every storage element becomes a local variable (``q7``) bound to a
-  ``deque`` once (with its ``append``/``popleft`` pre-bound), so token
-  movement is a C-level method call on a local;
+* every shell FIFO becomes a local variable (``q7``) bound to a ``deque``
+  once (with its ``append``/``popleft`` pre-bound), so token movement is a
+  C-level method call on a local;
 * queues hold **raw values, not (value, tag) pairs**: on a correct channel
   tokens arrive in strictly increasing, gapless tag order, so the head tag
   of a shell FIFO is simply the number of tokens ever popped from it.  WP1
   consumes one token per port per firing, which makes the head tag always
   equal to the consumer's firing counter — the per-port tag checks vanish
   entirely and a WP1 shell's whole firing guard folds into one ``and``
-  chain over queue truthiness and latched capacities.  WP2 keeps one
-  integer counter per shell FIFO (``g7``), incremented on every pop,
-  against which stale-token discarding compares.  No tuple is ever
-  allocated for a moving token.  (The interpreting kernels' future-tag
-  invariant check is unreachable on a correct engine and has no equivalent
-  here; the cross-kernel property suite is the safety net.)
-* the per-cycle occupancy latch disappears: every element whose
-  start-of-cycle occupancy is read carries an integer counter (``n7``)
-  maintained at each push/pop site.  Relay-station forwarding decisions are
-  evaluated at the top of the cycle (``h3 = n7 and n5 < 4``) where the
-  counters still hold start-of-cycle values, and committed after the shell
-  phase; back-pressure reads use the counter directly when no earlier shell
-  can have touched the element this cycle, or a one-integer copy (``l7 =
-  n7``) latched at the top of the cycle otherwise.  No ``len()`` call runs
-  on the hot path — the occupancy instrument included: maxima are sampled
-  from the counters at the commit sites (every sample equals the element's
-  end-of-commit-phase occupancy, exactly what the fast kernel's deferred
-  sampling records);
+  chain over occupancies.  WP2 keeps one integer counter per shell FIFO
+  (``g7``), incremented on every pop, against which stale-token discarding
+  compares.  No tuple is ever allocated for a moving token;
+* **relay chains are packed words** (DESIGN.md §3).  Token values never
+  move along a chain: every value in flight on a channel, in its relay
+  stations or its destination FIFO, sits in the destination FIFO's deque in
+  arrival order, and the FIFO's integer counter ``n7`` says how many of them
+  have arrived.  A channel with relay stations carries one integer ``c3``
+  with one bit-field per station holding its occupancy; one cycle's hops
+  along the whole chain are a handful of integer operations on that word,
+  whatever its depth.  The generated source therefore depends only on
+  *which* channels have relay stations, never on how many, and relay-station
+  depths, RS capacity and queue capacity are per-run data;
+* the per-cycle occupancy latch disappears: forwarding decisions are taken
+  at the top of the cycle, where the counters still hold start-of-cycle
+  values, and committed after the shell phase; back-pressure reads use the
+  counter (or field 0 of the chain word) directly when no earlier shell can
+  have touched it this cycle, or a one-integer copy (``l7 = n7``) latched at
+  the top of the cycle otherwise.  The occupancy instrument samples FIFO
+  maxima at the commit sites and keeps one per-field maximum word per chain;
 * hooks the processes do not override are folded away: a process that never
   overrides ``is_done`` loses its per-cycle done guard (the base method is
   the constant ``False``); one that declares
@@ -41,67 +39,54 @@ model:
   that attribute instead of calling the method; and a WP2 process without a
   ``required_ports`` override skips the oracle call and the unknown-port
   validation;
-* a produced token whose destination cannot be observed again this cycle —
-  the first element of the channel is a relay station (never read live), or
-  the consuming shell is the producer itself or fired earlier in process
-  order — is appended immediately; the remaining launches wait in one
-  pending-slot local per channel, committed after the forwarding phase
-  (occupancy tracking defers every launch so the sampled maxima match the
-  fast kernel exactly);
+* a token launched into a shell FIFO that its owner can still read later
+  this cycle waits in one pending-slot local per channel, committed after
+  the forwarding phase; every other launch is appended immediately;
 * instrumentation (trace / shell stats / occupancy) is **compiled in only
-  when the corresponding pass is enabled** — the uninstrumented objective
-  path contains no counters beyond the occupancy integers the guards need,
-  no ``Token`` objects and no occupancy samples at all, not even behind a
-  branch;
+  when the corresponding pass is enabled**;
 * when the run is eligible for **steady-state detection** (see
   :mod:`repro.engine.steady_state` and DESIGN.md §4), the canonical
   snapshot is compiled into the loop as one tuple of the pre-maintained
-  integers — occupancy counters, firing-counter differences, the sampled
-  ``schedule_state()`` of the few dynamic processes — keyed into a plain
-  dict.  No per-cycle reconstruction of queue contents happens; detection
-  overhead stays within a few percent of the uninstrumented loop, and once
-  a period is measured the generated jump block advances cycles, firing
-  counters, ``g`` counters and stall statistics analytically.
+  integers — FIFO counters, chain words, firing-counter differences, the
+  sampled ``schedule_state()`` of the few dynamic processes — keyed into a
+  plain dict, and once a period is measured the generated jump block
+  advances cycles, firing counters, ``g`` counters and stall statistics
+  analytically.
 
-The generated function is an entire run loop (not a per-cycle callable): the
-stop condition, drain window and deadlock detection are cheap per-cycle
-scalar checks, and keeping them inside the generated frame means the hot
-locals (queues, counters, firing counters) never cross a call boundary.  The
-loop is additionally specialized on the stop-condition *mode* (any-done /
-firing-targets / stop-process), on whether a cycle **horizon** bounds the
-run (reaching it is a normal halt, not a timeout), and on whether the
-steady-state detector is armed; the stop condition is only re-evaluated
-after a cycle in which something fired (process state — and therefore
-``is_done`` and firing counts — cannot change on an idle cycle).
+The generated function is an entire run loop (not a per-cycle callable),
+specialized on the stop-condition *mode* (any-done / firing-targets /
+stop-process), on whether a cycle **horizon** bounds the run, and on whether
+the steady-state detector is armed; the stop condition is only re-evaluated
+after a cycle in which something fired.
 
-Scheduling semantics are identical to :class:`~repro.engine.fast.FastKernel`
-by construction — the generator mirrors its phase structure (see DESIGN.md
-§3 for why the latched-snapshot commit argument is preserved) — and the
-property suite in ``tests/test_engine.py`` pins cycle-for-cycle equality
-across all three kernels.
+Scheduling semantics are those of the reference kernel (every decision
+against start-of-cycle state, shells in process order, then relay-station
+moves and deferred launches); the property suites in ``tests/test_engine.py``
+and ``tests/test_steady_state.py`` pin cycle-for-cycle equality.
 
-Compilation is cached on the :class:`~repro.engine.elaboration.NetlistLayout`
-keyed by the *configuration signature*: the relay-chain shape, the element
-capacities, the wrapper flavour, the instrument flags, the stop mode and the
-horizon / steady-state flags.  Re-binding the same layout to a configuration
-with the same signature (the batch runner and the optimiser do this
-constantly) reuses the compiled code object.
+Two caches keep compilation off the hot path.  Each
+:class:`~repro.engine.elaboration.NetlistLayout` keeps its run functions
+keyed by :func:`model_signature`, and one process-wide LRU of at most
+:data:`CODE_CACHE_SIZE` code objects is keyed by the generated source text,
+so layouts of the same shape (a renamed ring, a CPU on another data seed)
+share one ``compile()``.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from typing import Callable, Dict, List, Set, Tuple
+import threading
+from collections import OrderedDict, defaultdict, deque
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..core.exceptions import (
     DeadlockError,
+    NetlistError,
     ProtocolError,
     SimulationError,
 )
-from ..core.process import Process, overrides_hook
+from ..core.process import overrides_hook
 from ..core.tokens import Token, VOID
 from .elaboration import ElaboratedModel
-from .fast import _raise_output_mismatch
 from .instrumentation import InstrumentSet
 from .steady_state import (
     certify_model,
@@ -113,18 +98,19 @@ from .steady_state import (
 #: Name of the generated entry point inside the compiled namespace.
 ENTRY_POINT = "__lid_run"
 
-#: Attribute under which the per-layout compilation cache is stored.
+#: Attribute under which the per-layout function cache is stored.
 _CACHE_ATTR = "_compiled_run_cache"
+
+#: Bound of the process-wide source-text → code-object cache.
+CODE_CACHE_SIZE = 64
+
+_CODE_CACHE: "OrderedDict[str, Tuple[str, object]]" = OrderedDict()
+_CODE_CACHE_LOCK = threading.Lock()
 
 #: Stop-condition modes a run loop can be specialized for.
 STOP_ANY_DONE = 0      #: stop when any process reports done
 STOP_TARGET = 1        #: stop once per-process firing targets are met
 STOP_PROCESS = 2       #: stop when one designated process reports done
-
-
-def _overrides(process: Process, method: str) -> bool:
-    """Back-compat alias of :func:`repro.core.process.overrides_hook`."""
-    return overrides_hook(process, method)
 
 
 def resolve_stop(controls, proc_names):
@@ -153,6 +139,76 @@ def _raise_unknown_ports(name: str, required, portset) -> None:
         f"oracle of process {name!r} required unknown ports "
         f"{sorted(required - portset)}"
     )
+
+
+def _raise_output_mismatch(process, outputs) -> None:
+    """Raise the same NetlistError Process.step() would have raised."""
+    missing = [port for port in process.output_ports if port not in outputs]
+    if missing:
+        raise NetlistError(
+            f"process {process.name!r} did not drive output ports {missing}"
+        )
+    unexpected = [port for port in outputs if port not in process.output_ports]
+    raise NetlistError(
+        f"process {process.name!r} drove undeclared output ports {unexpected}"
+    )
+
+
+def relay_fields(rs_capacity: int) -> Tuple[int, int]:
+    """``(field width, value bits)`` of a chain word for *rs_capacity*.
+
+    Each relay station owns ``width`` bits: ``value bits`` hold its
+    occupancy (0..capacity) and the top bit is a guard that stays clear in
+    the word, so per-field comparisons can be done with one addition.
+    """
+    value_bits = max(rs_capacity, 1).bit_length()
+    return value_bits + 1, value_bits
+
+
+def relay_words(model: ElaboratedModel) -> Tuple[Tuple[int, ...], List]:
+    """Per-run data of the packed relay chains: ``(caps, per-channel masks)``.
+
+    ``caps`` is ``(queue capacity, RS capacity, width, value bits, hop
+    multiplier, field-0 mask, deep)``, where *deep* says whether any chain
+    has two or more stations (otherwise no internal hop exists and the loop
+    skips their bookkeeping); the masks of a channel with *k* relay
+    stations (``None`` without any) are
+
+    * ``M`` — ``2^v - 1`` in every field: ``(c + M)`` sets a field's guard
+      bit iff the field is non-empty;
+    * ``F`` — ``2^v - capacity`` in every field: ``(c + F)`` sets it iff the
+      field is full;
+    * ``I`` — the guard bits of fields ``0 .. k-2`` (sources of internal
+      hops);
+    * ``L`` — every bit below the top field (some internal hop is possible);
+    * ``T`` — the unit of the top field (the hop into the FIFO);
+    * ``G`` — every guard bit (per-field maxima of the occupancy instrument).
+    """
+    capacity = model.rs_capacity
+    width, value_bits = relay_fields(capacity)
+    field_one = (1 << width) - 1
+    chains: List = []
+    for chain in model.chan_chain:
+        k = len(chain) - 1
+        if not k:
+            chains.append(None)
+            continue
+        ones = ((1 << (k * width)) - 1) // field_one  # 1 in every field
+        guards = ones << value_bits
+        top = 1 << ((k - 1) * width)
+        chains.append((
+            ((1 << value_bits) - 1) * ones,
+            ((1 << value_bits) - capacity) * ones,
+            guards & (top - 1),
+            top - 1,
+            top,
+            guards,
+        ))
+    caps = (
+        model.queue_capacity, capacity, width, value_bits, field_one,
+        (1 << value_bits) - 1, any(len(chain) > 2 for chain in model.chan_chain),
+    )
+    return caps, chains
 
 
 class _Writer:
@@ -193,19 +249,17 @@ def model_signature(
     steady: bool = False,
     horizon: bool = False,
 ) -> Tuple:
-    """The compilation cache key of one bound model + instrument selection.
+    """The per-layout cache key of one bound model + instrument selection.
 
     Two bindings of the same layout share compiled code iff they agree on
-    the relay-chain shape, every element capacity, the wrapper flavour, the
+    which channels carry relay stations at all, the wrapper flavour, the
     instrument flags, the stop-condition mode and the horizon / steady-state
-    specializations (the loop only carries the plumbing actually in use).
-    Everything else (configuration label, the actual initial token values,
-    the concrete stop targets, the horizon cycle count, the detection
-    window) is runtime data.
+    specializations.  Everything else — relay-station depths, queue and RS
+    capacities, the configuration label, the stop targets, the horizon cycle
+    count, the detection window — is runtime data.
     """
     return (
-        tuple(tuple(chain) for chain in model.chan_chain),
-        tuple(model.queue_caps),
+        tuple(len(chain) > 1 for chain in model.chan_chain),
         model.relaxed,
         instruments.trace,
         instruments.shell_stats,
@@ -228,8 +282,7 @@ class _Generator:
         horizon: bool = False,
     ) -> None:
         self.model = model
-        self.layout = model.layout
-        self.instruments = instruments
+        self.layout = layout = model.layout
         self.stop_mode = stop_mode
         self.relaxed = model.relaxed
         self.tracing = instruments.trace
@@ -237,76 +290,46 @@ class _Generator:
         self.occ = instruments.occupancy
         self.horizon = horizon
         self.steady = steady and not instruments.trace
-        layout = self.layout
         self.n_procs = len(layout.processes)
         self.n_chans = len(layout.chan_names)
-        self.n_queues = len(model.queue_caps)
-        self.done_ovr = [_overrides(p, "is_done") for p in layout.processes]
+        self.n_queues = layout.n_shell_queues
+        self.done_ovr = [overrides_hook(p, "is_done") for p in layout.processes]
         # A declared boolean done-attribute lets the guard read an attribute
         # instead of calling is_done() every cycle (see Process.done_attribute).
         self.done_attr = [p.done_attribute for p in layout.processes]
-        self.req_ovr = [_overrides(p, "required_ports") for p in layout.processes]
-        self.hops = [
-            (chain[i], chain[i + 1])
-            for chain in model.chan_chain
-            for i in range(len(chain) - 1)
+        self.req_ovr = [
+            overrides_hook(p, "required_ports") for p in layout.processes
         ]
-        # Elements whose start-of-cycle occupancy is actually read: back-
-        # pressure sources (first elements of output channels) and both
-        # sides of every forwarding hop.
-        self.latched = set()
-        for pairs in model.out_first:
-            self.latched.update(pairs)
-        for src, dst in self.hops:
-            self.latched.add(src)
-            self.latched.add(dst)
-        # Elements carrying an integer occupancy counter.  The guards only
-        # need the latched set; the occupancy instrument samples its maxima
-        # from the counters and the steady-state snapshot reads every
-        # element, so both widen the set to all queues.
-        if self.occ or self.steady:
-            self.counted: Set[int] = set(range(self.n_queues))
-        else:
-            self.counted = set(self.latched)
+        self.dest = layout.chan_dest_qid
+        # Channels carrying a packed relay word (depth >= 1 this binding).
+        self.rs_cids = [
+            cid for cid, chain in enumerate(model.chan_chain) if len(chain) > 1
+        ]
+        self.has_rs = set(self.rs_cids)
         # Owner (consuming process) of every shell input FIFO.
         self.queue_owner: Dict[int, int] = {}
         for p, qids in enumerate(layout.in_qids):
             for qid in qids:
                 self.queue_owner[qid] = p
         # Back-pressure reads that need a top-of-cycle latched copy: the
-        # element is a shell FIFO whose owner runs at or before the producer,
-        # so the owner's pops (WP1 consumes, WP2 also discards before its own
-        # back-pressure check) precede the read.  A relay station or a
-        # later-running owner cannot be touched before the read, so those
-        # use the counter directly.
+        # channel has no relay station and the FIFO's owner runs at or
+        # before the producer, so the owner's pops (WP1 consumes, WP2 also
+        # discards before its own back-pressure check) precede the read.  A
+        # chain word's field 0 only changes at its own producer's launch.
         self.guard_copy: Set[int] = set()
         for p in range(self.n_procs):
-            for qid in model.out_first[p]:
-                owner = self.queue_owner.get(qid)
-                if owner is None:
+            for cid in layout.out_chans[p]:
+                if cid in self.has_rs:
                     continue
+                owner = self.queue_owner[self.dest[cid]]
                 if owner < p or (owner == p and self.relaxed):
-                    self.guard_copy.add(qid)
+                    self.guard_copy.add(self.dest[cid])
         self.deferred_cids = sorted(
-            {
-                cid
-                for p in range(self.n_procs)
-                for _, cids in layout.out_ports[p]
-                for cid in cids
-                if self._deferred(p, cid)
-            }
+            cid
+            for p in range(self.n_procs)
+            for cid in layout.out_chans[p]
+            if self._deferred(p, cid)
         )
-        # Deferred launches wait in one pending-slot local per channel (no
-        # tuple, no list churn); the occupancy variant samples the counter
-        # right after each commit.
-        self.pending_slots = bool(self.deferred_cids)
-        # Queues needing pre-bound popleft / append methods.
-        self.pops_used: Set[int] = set(self.queue_owner)
-        self.appends_used: Set[int] = set(layout.chan_dest_qid)
-        for src, dst in self.hops:
-            self.pops_used.add(src)
-            self.appends_used.add(dst)
-        self.appends_used.update(model.chan_first)
         # Steady-state snapshot plan (processes to sample, tag offsets, the
         # per-FIFO pop counters a jump must advance; certified mode also
         # keys queued token values and deep-verifies each candidate period).
@@ -321,7 +344,7 @@ class _Generator:
             self.ss_jump_procs = [
                 p
                 for p in range(self.n_procs)
-                if _overrides(layout.processes[p], "schedule_jump")
+                if overrides_hook(layout.processes[p], "schedule_jump")
             ]
             self.ss_done_procs = [p for p in dynamic if self.done_ovr[p]]
             self.ss_offsets = channel_offset_pairs(model) if self.relaxed else []
@@ -338,36 +361,48 @@ class _Generator:
         attr = self.done_attr[p]
         return f"p{p}.{attr}" if attr else f"p{p}_done()"
 
-    def _bp_expr(self, qid: int) -> str:
-        """Start-of-cycle occupancy of *qid* as read by a back-pressure guard."""
-        return f"l{qid}" if qid in self.guard_copy else f"n{qid}"
+    def _full_exprs(self, p: int, full: bool) -> List[str]:
+        """Start-of-cycle back-pressure test of every output channel of *p*.
+
+        ``full=True`` gives the "blocked" form, ``False`` the "free" form.
+        A chain-free channel reads its FIFO's counter (or latched copy), a
+        relay chain the occupancy of its first station, field 0 of its word.
+        """
+        op = ">=" if full else "<"
+        exprs = []
+        for cid in self.layout.out_chans[p]:
+            if cid in self.has_rs:
+                exprs.append(f"(c{cid} & _vm) {op} _rc")
+            else:
+                qid = self.dest[cid]
+                read = f"l{qid}" if qid in self.guard_copy else f"n{qid}"
+                exprs.append(f"{read} {op} _qc")
+        return exprs
 
     def _deferred(self, p: int, cid: int) -> bool:
         """Whether a token launched by process *p* on channel *cid* must wait.
 
-        An append may commit immediately iff nothing can observe the queue
-        live later this cycle: relay stations are only read through the
-        latched snapshot, and a shell FIFO is only read by its owning shell,
-        which already executed when ``owner <= p``.  Occupancy instrumentation
-        defers everything so maxima are sampled exactly like the fast kernel
-        (after every commit of the cycle, never against a transient value).
+        A launch into a relay chain appends its value behind every value the
+        FIFO's counter has admitted, so it is invisible to the consumer until
+        its hop and commits at once.  A launch straight into a shell FIFO may
+        commit immediately iff the owning shell already executed this cycle
+        (``owner <= p``).  Occupancy instrumentation defers every FIFO launch
+        so its maxima are sampled after the whole commit phase.
         """
+        if cid in self.has_rs:
+            return False
         if self.occ:
             return True
-        first = self.model.chan_first[cid]
-        owner = self.queue_owner.get(first)
-        return owner is not None and owner > p
+        return self.queue_owner[self.dest[cid]] > p
 
     def _emit_push(self, qid: int, value_expr: str) -> None:
-        """Append *value_expr* to queue *qid*, maintaining its counter."""
+        """Append *value_expr* to FIFO *qid*, maintaining its counter."""
         self.w.emit(f"q{qid}_ap({value_expr})")
-        if qid in self.counted:
-            self.w.emit(f"n{qid} += 1")
+        self.w.emit(f"n{qid} += 1")
 
     def _emit_pop_count(self, qid: int) -> None:
-        """Counter maintenance for a pop from queue *qid* (pop emitted by caller)."""
-        if qid in self.counted:
-            self.w.emit(f"n{qid} -= 1")
+        """Counter maintenance for a pop from FIFO *qid* (pop emitted by caller)."""
+        self.w.emit(f"n{qid} -= 1")
 
     def _emit_occ_sample(self, qid: int) -> None:
         """Fold the counter of *qid* into the occupancy maxima."""
@@ -377,11 +412,11 @@ class _Generator:
 
     def generate(self) -> str:
         w = self.w
-        model = self.model
         layout = self.layout
         w.emit(
             f"def {ENTRY_POINT}(procs, fir, label, max_cycles, deadlock_limit, "
-            "extra_cycles, stop_mode, stop_arg, horizon, ss_window):"
+            "extra_cycles, stop_mode, stop_arg, horizon, ss_window, caps, "
+            "chains):"
         )
         w.push()
 
@@ -398,14 +433,21 @@ class _Generator:
         w.emit("for _proc in procs:")
         with _Block(w):
             w.emit("_proc.reset()")
+        w.emit("_qc, _rc, _w, _w1, _K, _vm, _deep = caps")
+        appended = set(self.dest)
         for q in range(self.n_queues):
             w.emit(f"q{q} = deque()")
-            if q in self.pops_used:
+            if q in self.queue_owner:
                 w.emit(f"q{q}_pop = q{q}.popleft")
-            if q in self.appends_used:
+            if q in appended:
                 w.emit(f"q{q}_ap = q{q}.append")
-            if q in self.counted:
-                w.emit(f"n{q} = 0")
+            w.emit(f"n{q} = 0")
+        for cid in self.rs_cids:
+            w.emit(f"c{cid} = 0")
+            w.emit(f"_m{cid}, _f{cid}, _i{cid}, _lo{cid}, _t{cid}, _g{cid} = "
+                   f"chains[{cid}]")
+            if self.occ:
+                w.emit(f"x{cid} = 0")
         for p in range(self.n_procs):
             w.emit(f"f{p} = 0")
         if self.relaxed:
@@ -420,7 +462,7 @@ class _Generator:
         if self.occ:
             w.emit(f"mo = [0] * {self.n_queues}")
         for cid in range(self.n_chans):
-            qid = layout.chan_dest_qid[cid]
+            qid = self.dest[cid]
             self._emit_push(qid, f"CHAN_INIT[{cid}]")
             if self.occ:
                 w.emit(f"mo[{qid}] = 1")
@@ -433,9 +475,8 @@ class _Generator:
             w.emit(f"st_mp = [_dd(int) for _ in range({self.n_procs})]")
         if self.tracing:
             w.emit(f"chan_items = [[] for _ in range({self.n_chans})]")
-        if self.pending_slots:
-            for cid in self.deferred_cids:
-                w.emit(f"d{cid} = _NP")
+        for cid in self.deferred_cids:
+            w.emit(f"d{cid} = _NP")
         w.emit("cycles = 0")
         w.emit("idle = 0")
         w.emit("halted = False")
@@ -468,10 +509,22 @@ class _Generator:
         w.push()
         if self.steady:
             self._steady_block()
-        # Phase 1: forwarding decisions against start-of-cycle counters,
-        # plus latched copies for the back-pressure reads that need them.
-        for i, (src, dst) in enumerate(self.hops):
-            w.emit(f"h{i} = n{src} and n{dst} < {model.queue_caps[dst]}")
+        # Phase 1: forwarding decisions against start-of-cycle state, plus
+        # latched copies for the back-pressure reads that need them.  An
+        # internal hop moves station i's oldest token to station i+1 when i
+        # is non-empty and i+1 not full: the guard bits of (c + M) and of
+        # (c + F) shifted down one field select every such i at once.  The
+        # top station's hop into the FIFO tests the FIFO's counter.
+        if self.rs_cids:
+            w.emit("if _deep:")
+            with _Block(w):
+                for cid in self.rs_cids:
+                    w.emit(
+                        f"h{cid} = c{cid} & _lo{cid} and (c{cid} + _m{cid}) & "
+                        f"~((c{cid} + _f{cid}) >> _w) & _i{cid}"
+                    )
+        for cid in self.rs_cids:
+            w.emit(f"t{cid} = c{cid} >= _t{cid} and n{self.dest[cid]} < _qc")
         for q in sorted(self.guard_copy):
             w.emit(f"l{q} = n{q}")
         w.emit("fired_any = False")
@@ -482,31 +535,54 @@ class _Generator:
         for p in range(self.n_procs):
             self._shell(p)
 
-        # Phase 3: commit relay-station moves, then deferred launches.  The
-        # occupancy maxima are sampled from the counters once every commit
-        # that can touch the element has been applied, so each sample equals
-        # the end-of-commit-phase occupancy — exactly the value the fast
-        # kernel's deferred sampling records.
-        for i, (src, dst) in enumerate(self.hops):
-            w.emit(f"if h{i}:")
+        # Phase 3: commit relay-station moves, then deferred launches.  A
+        # selected internal hop i adds 2^((i+1)w) - 2^(iw) = 2^(iw) * K to
+        # the word, so all of them commit as one multiply-add.
+        if self.rs_cids:
+            w.emit("if _deep:")
             with _Block(w):
-                w.emit(f"q{dst}_ap(q{src}_pop())")
-                w.emit(f"n{src} -= 1")
-                w.emit(f"n{dst} += 1")
-        if self.occ:
-            for i, (src, dst) in enumerate(self.hops):
-                w.emit(f"if h{i}:")
-                with _Block(w):
-                    self._emit_occ_sample(dst)
-        if self.pending_slots:
-            for cid in self.deferred_cids:
-                qid = model.chan_first[cid]
-                w.emit(f"if d{cid} is not _NP:")
-                with _Block(w):
-                    self._emit_push(qid, f"d{cid}")
-                    if self.occ:
-                        self._emit_occ_sample(qid)
-                    w.emit(f"d{cid} = _NP")
+                for cid in self.rs_cids:
+                    w.emit(f"if h{cid}:")
+                    with _Block(w):
+                        w.emit(f"c{cid} += (h{cid} >> _w1) * _K")
+        for cid in self.rs_cids:
+            w.emit(f"if t{cid}:")
+            with _Block(w):
+                w.emit(f"c{cid} -= _t{cid}")
+                w.emit(f"n{self.dest[cid]} += 1")
+                if self.occ:
+                    self._emit_occ_sample(self.dest[cid])
+        for cid in self.deferred_cids:
+            qid = self.dest[cid]
+            w.emit(f"if d{cid} is not _NP:")
+            with _Block(w):
+                self._emit_push(qid, f"d{cid}")
+                if self.occ:
+                    self._emit_occ_sample(qid)
+                w.emit(f"d{cid} = _NP")
+        if self.occ and self.rs_cids:
+            # Per-field maximum of each chain word against its running
+            # maximum word x.  A field only grows by a launch (field 0) or an
+            # internal hop, so x needs updating only after a hop or when
+            # field 0 passed its maximum; then the guard bit of (x | G) - c
+            # is set where x_i >= c_i, and spreading it over the field
+            # selects x_i there.  Single-station chains are plain maxima.
+            w.emit("if _deep:")
+            with _Block(w):
+                for cid in self.rs_cids:
+                    w.emit(
+                        f"if h{cid} or c{cid} & _vm > x{cid} & _vm:"
+                    )
+                    with _Block(w):
+                        w.emit(f"_d = ((x{cid} | _g{cid}) - c{cid}) & _g{cid}")
+                        w.emit("_d -= _d >> _w1")
+                        w.emit(f"x{cid} = (x{cid} & _d) | (c{cid} & ~_d)")
+            w.emit("else:")
+            with _Block(w):
+                for cid in self.rs_cids:
+                    w.emit(f"if c{cid} > x{cid}:")
+                    with _Block(w):
+                        w.emit(f"x{cid} = c{cid}")
 
         if self.tracing:
             w.emit("for _cl, _cv in zip(chan_items, _e):")
@@ -523,8 +599,8 @@ class _Generator:
             with _Block(w):
                 # The loop-closing channel hint is layout-static, so it is
                 # baked into the generated source as a literal suffix.
-                hint = self.model.layout.topology().deadlock_hint(
-                    self.model.layout.chan_names
+                hint = layout.topology().deadlock_hint(
+                    layout.chan_names
                 ).replace("%", "%%").replace("'", "\\'")
                 w.emit(
                     "raise DeadlockError('no process fired for %d consecutive "
@@ -591,7 +667,11 @@ class _Generator:
             if self.stats
             else "None"
         )
-        occ_out = "mo" if self.occ else "None"
+        if self.occ:
+            words = "".join(f"{cid}: x{cid}, " for cid in self.rs_cids)
+            occ_out = f"(mo, {{{words}}})"
+        else:
+            occ_out = "None"
         if self.steady:
             ss_out = "_ss_p, _ss_w, _extrap"
         else:
@@ -607,12 +687,14 @@ class _Generator:
     def _key_expr(self) -> str:
         """The canonical snapshot key as one tuple expression.
 
-        Plain mode: integers the loop already maintains plus the dynamic
-        ``schedule_state()`` samples.  Certified mode additionally keys the
-        queued token values of every storage element (the generated queues
-        hold raw values, so each is one ``tuple(q)`` call).
+        Plain mode: the FIFO counters and chain words the loop already
+        maintains (one word stands for its stations' counters) plus the
+        dynamic ``schedule_state()`` samples.  Certified mode additionally
+        keys the queued token values of every FIFO deque, which hold the
+        chains' values too (each is one ``tuple(q)`` call).
         """
         parts = [f"n{q}" for q in range(self.n_queues)]
+        parts += [f"c{cid}" for cid in self.rs_cids]
         parts += [f"f{s} - f{d}" for s, d in self.ss_offsets]
         parts += [f"p{p}_ss()" for p in self.ss_sig_procs]
         parts += [self._done_expr(p) for p in self.ss_done_procs]
@@ -628,13 +710,12 @@ class _Generator:
     def _steady_block(self) -> None:
         """Snapshot / measure / jump logic at the top of every cycle.
 
-        Mirrors the fast kernel's interpreted detector: the snapshot is one
-        tuple of integers already held in locals (plus the handful of
-        dynamic ``schedule_state()`` samples and, under a certified plan,
-        the queue-value tuples), so the searching phase costs one tuple
-        build and one dict probe per cycle and allocates nothing else.
-        Certified plans store key *hashes* in the dictionary (one int per
-        searched cycle) and deep-verify each candidate period before the
+        The snapshot is one tuple of integers already held in locals (plus
+        the handful of dynamic ``schedule_state()`` samples and, under a
+        certified plan, the queue-value tuples), so the searching phase costs
+        one tuple build and one dict probe per cycle and allocates nothing
+        else.  Certified plans store key *hashes* in the dictionary (one int
+        per searched cycle) and deep-verify each candidate period before the
         jump; a failed verification resumes the search.
         """
         w = self.w
@@ -737,7 +818,7 @@ class _Generator:
 
     # -- shells ----------------------------------------------------------------
     def _shell(self, p: int) -> None:
-        """Unrolled firing logic of one shell (mirrors FastKernel phase 2)."""
+        """Unrolled firing logic of one shell."""
         w = self.w
         layout = self.layout
         ports = layout.in_ports[p]
@@ -759,14 +840,7 @@ class _Generator:
                 if scan:
                     w.emit(f"_t = f{p}")
                     for port, qid in zip(ports, qids):
-                        w.emit(f"while q{qid} and g{qid} < _t:")
-                        with _Block(w):
-                            w.emit(f"q{qid}_pop()")
-                            w.emit(f"g{qid} += 1")
-                            self._emit_pop_count(qid)
-                            if self.stats:
-                                w.emit(f"st_disc[{p}] += 1")
-                                w.emit(f"st_dp[{p}][{port!r}] += 1")
+                        self._emit_discard(p, port, qid)
                 if self.stats:
                     w.emit(f"st_done[{p}] += 1")
                 elif not scan:
@@ -785,6 +859,18 @@ class _Generator:
             with _Block(w):
                 self._shell_body(p)
 
+    def _emit_discard(self, p: int, port: str, qid: int) -> None:
+        """Drop every stale (tag below the firing counter ``_t``) head token."""
+        w = self.w
+        w.emit(f"while n{qid} and g{qid} < _t:")
+        with _Block(w):
+            w.emit(f"q{qid}_pop()")
+            w.emit(f"g{qid} += 1")
+            self._emit_pop_count(qid)
+            if self.stats:
+                w.emit(f"st_disc[{p}] += 1")
+                w.emit(f"st_dp[{p}][{port!r}] += 1")
+
     def _shell_body(self, p: int) -> None:
         # A relaxed shell without an oracle override requires every port, so
         # it fires exactly like a strict one (and can never see a stale
@@ -799,16 +885,12 @@ class _Generator:
     def _body_wp1(self, p: int) -> None:
         """WP1 uninstrumented: the whole guard is one ``and`` chain.
 
-        A WP1 shell pops one token per port per firing, so a non-empty FIFO's
-        head always carries the current tag — availability is truthiness.
+        A WP1 shell pops one token per port per firing, so an arrived head
+        token always carries the current tag — availability is occupancy.
         """
         w = self.w
-        caps = self.model.queue_caps
-        conds = [f"q{qid}" for qid in self.layout.in_qids[p]]
-        conds += [
-            f"{self._bp_expr(qid)} < {caps[qid]}"
-            for qid in sorted(set(self.model.out_first[p]))
-        ]
+        conds = [f"n{qid}" for qid in self.layout.in_qids[p]]
+        conds += self._full_exprs(p, full=False)
         if conds:
             w.emit(f"if {' and '.join(conds)}:")
             with _Block(w):
@@ -820,32 +902,28 @@ class _Generator:
         """WP1 instrumented: per-port missing counters, then blocked, then fire."""
         w = self.w
         layout = self.layout
-        caps = self.model.queue_caps
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
-        pairs = sorted(set(self.model.out_first[p]))
-        blocked = " or ".join(
-            f"{self._bp_expr(qid)} >= {caps[qid]}" for qid in pairs
-        )
+        blocked = " or ".join(self._full_exprs(p, full=True))
 
         if ports:
             w.emit("_m = False")
             for port, qid in zip(ports, qids):
-                w.emit(f"if not q{qid}:")
+                w.emit(f"if not n{qid}:")
                 with _Block(w):
                     w.emit("_m = True")
                     w.emit(f"st_mp[{p}][{port!r}] += 1")
             w.emit("if _m:")
             with _Block(w):
                 w.emit(f"st_missing[{p}] += 1")
-            if pairs:
+            if blocked:
                 w.emit(f"elif {blocked}:")
                 with _Block(w):
                     w.emit(f"st_blocked[{p}] += 1")
             w.emit("else:")
             with _Block(w):
                 self._fire(p)
-        elif pairs:
+        elif blocked:
             w.emit(f"if {blocked}:")
             with _Block(w):
                 w.emit(f"st_blocked[{p}] += 1")
@@ -863,40 +941,25 @@ class _Generator:
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
         stats = self.stats
-        has_oracle = self.req_ovr[p]
 
         w.emit(f"_t = f{p}")
-        if has_oracle:
-            w.emit(f"_req = p{p}_req()")
+        w.emit(f"_req = p{p}_req()")
         if ports:
-            if has_oracle:
-                w.emit("if _req is None:")
-                with _Block(w):
-                    w.emit(f"_req = r{p}")
-                w.emit(f"elif not (_req <= r{p}):")
-                with _Block(w):
-                    w.emit(f"_unknown({name!r}, _req, r{p})")
+            w.emit("if _req is None:")
+            with _Block(w):
+                w.emit(f"_req = r{p}")
+            w.emit(f"elif not (_req <= r{p}):")
+            with _Block(w):
+                w.emit(f"_unknown({name!r}, _req, r{p})")
             w.emit("_m = False")
             for port, qid in zip(ports, qids):
                 # The scan runs on every FIFO (never stops early) so the
-                # occupancies latched next cycle match the reference.
-                w.emit(f"while q{qid} and g{qid} < _t:")
+                # occupancies read next cycle match the reference.
+                self._emit_discard(p, port, qid)
+                w.emit(f"if not n{qid}:")
                 with _Block(w):
-                    w.emit(f"q{qid}_pop()")
-                    w.emit(f"g{qid} += 1")
-                    self._emit_pop_count(qid)
-                    if stats:
-                        w.emit(f"st_disc[{p}] += 1")
-                        w.emit(f"st_dp[{p}][{port!r}] += 1")
-                w.emit(f"if not q{qid}:")
-                with _Block(w):
-                    if has_oracle:
-                        w.emit(f"if {port!r} in _req:")
-                        with _Block(w):
-                            w.emit("_m = True")
-                            if stats:
-                                w.emit(f"st_mp[{p}][{port!r}] += 1")
-                    else:
+                    w.emit(f"if {port!r} in _req:")
+                    with _Block(w):
                         w.emit("_m = True")
                         if stats:
                             w.emit(f"st_mp[{p}][{port!r}] += 1")
@@ -907,52 +970,41 @@ class _Generator:
             with _Block(w):
                 self._blocked_and_fire(p)
         else:
-            if has_oracle:
-                w.emit(f"if _req is not None and not (_req <= r{p}):")
-                with _Block(w):
-                    w.emit(f"_unknown({name!r}, _req, r{p})")
+            w.emit(f"if _req is not None and not (_req <= r{p}):")
+            with _Block(w):
+                w.emit(f"_unknown({name!r}, _req, r{p})")
             self._blocked_and_fire(p)
 
     def _blocked_and_fire(self, p: int) -> None:
         w = self.w
-        caps = self.model.queue_caps
-        pairs = sorted(set(self.model.out_first[p]))
-        if pairs:
-            if self.stats:
-                blocked = " or ".join(
-                    f"{self._bp_expr(qid)} >= {caps[qid]}" for qid in pairs
-                )
-                w.emit(f"if {blocked}:")
-                with _Block(w):
-                    w.emit(f"st_blocked[{p}] += 1")
-                w.emit("else:")
-                with _Block(w):
-                    self._fire(p)
-            else:
-                free = " and ".join(
-                    f"{self._bp_expr(qid)} < {caps[qid]}" for qid in pairs
-                )
-                w.emit(f"if {free}:")
-                with _Block(w):
-                    self._fire(p)
-        else:
+        if not self.layout.out_chans[p]:
             self._fire(p)
+        elif self.stats:
+            w.emit(f"if {' or '.join(self._full_exprs(p, full=True))}:")
+            with _Block(w):
+                w.emit(f"st_blocked[{p}] += 1")
+            w.emit("else:")
+            with _Block(w):
+                self._fire(p)
+        else:
+            w.emit(f"if {' and '.join(self._full_exprs(p, full=False))}:")
+            with _Block(w):
+                self._fire(p)
 
     def _fire(self, p: int) -> None:
         w = self.w
         layout = self.layout
-        model = self.model
         ports = layout.in_ports[p]
         qids = layout.in_qids[p]
 
         if self.relaxed and self.req_ovr[p]:
             # WP2 consumes the ports whose current-tag token already arrived:
-            # after the stale scan a non-empty FIFO's head holds exactly the
-            # current tag.
+            # after the stale scan an arrived head holds exactly the current
+            # tag.
             items = ", ".join(f"{port!r}: None" for port in ports)
             w.emit(f"_in = {{{items}}}")
             for port, qid in zip(ports, qids):
-                w.emit(f"if q{qid}:")
+                w.emit(f"if n{qid}:")
                 with _Block(w):
                     w.emit(f"_in[{port!r}] = q{qid}_pop()")
                     w.emit(f"g{qid} += 1")
@@ -978,10 +1030,15 @@ class _Generator:
             if self.tracing:
                 w.emit("_tok = Token(value=_v, tag=_nt)")
             for cid in cids:
-                qid = model.chan_first[cid]
+                qid = self.dest[cid]
                 if self.tracing:
                     w.emit(f"_e[{cid}] = _tok")
-                if self._deferred(p, cid):
+                if cid in self.has_rs:
+                    # Into relay station 0: the value joins the FIFO's deque
+                    # behind everything its counter has admitted.
+                    w.emit(f"q{qid}_ap(_v)")
+                    w.emit(f"c{cid} += 1")
+                elif self._deferred(p, cid):
                     w.emit(f"d{cid} = _v")
                 else:
                     self._emit_push(qid, "_v")
@@ -1023,6 +1080,31 @@ def _base_namespace(model: ElaboratedModel) -> dict:
     return namespace
 
 
+def _cached_code(source: str) -> Tuple[str, object]:
+    """``(source, code)`` from the process-wide LRU, compiling on a miss.
+
+    The returned source is the cached string itself, so every layout's
+    function shares one copy of it.
+    """
+    with _CODE_CACHE_LOCK:
+        entry = _CODE_CACHE.get(source)
+        if entry is not None:
+            _CODE_CACHE.move_to_end(source)
+            return entry
+    entry = (source, compile(source, "<lid-codegen>", "exec"))
+    with _CODE_CACHE_LOCK:
+        _CODE_CACHE[source] = entry
+        while len(_CODE_CACHE) > CODE_CACHE_SIZE:
+            _CODE_CACHE.popitem(last=False)
+    return entry
+
+
+def cached_run_fn(model: ElaboratedModel, key: Tuple) -> Optional[Callable]:
+    """The layout's run function for signature *key*, if already built."""
+    cache = getattr(model.layout, _CACHE_ATTR, None)
+    return cache.get(key) if cache is not None else None
+
+
 def compiled_run_fn(
     model: ElaboratedModel,
     instruments: InstrumentSet,
@@ -1032,23 +1114,25 @@ def compiled_run_fn(
 ) -> Callable:
     """The compiled run function for *model*, generated and cached on demand.
 
-    The cache lives on the layout (one per :class:`Elaborator`, shared by
-    every binding), keyed by :func:`model_signature`; a worker process that
-    evaluates a whole shard of same-shaped configurations compiles once.
+    The function cache lives on the layout (one per :class:`Elaborator`,
+    shared by every binding), keyed by :func:`model_signature`.  A miss
+    generates the source and takes its code object from the process-wide
+    LRU, so only a source never seen before (or evicted) is compiled.
     """
     layout = model.layout
-    cache = getattr(layout, _CACHE_ATTR, None)
-    if cache is None:
-        cache = {}
-        setattr(layout, _CACHE_ATTR, cache)
     key = model_signature(model, instruments, stop_mode, steady, horizon)
-    fn = cache.get(key)
+    fn = cached_run_fn(model, key)
     if fn is None:
-        source = generate_run_source(model, instruments, stop_mode, steady, horizon)
-        code = compile(source, f"<lid-codegen:{model.netlist.name}>", "exec")
+        source, code = _cached_code(
+            generate_run_source(model, instruments, stop_mode, steady, horizon)
+        )
         namespace = _base_namespace(model)
         exec(code, namespace)
         fn = namespace[ENTRY_POINT]
         fn.__lid_source__ = source  # kept for tests and debugging
+        cache = getattr(layout, _CACHE_ATTR, None)
+        if cache is None:
+            cache = {}
+            setattr(layout, _CACHE_ATTR, cache)
         cache[key] = fn
     return fn

@@ -292,10 +292,6 @@ class ElaboratedModel:
     queue_names: List[str]
     #: Per channel: relay-station qids (source → dest) followed by the dest FIFO.
     chan_chain: List[List[int]]
-    #: Per channel: the element a newly produced token enters.
-    chan_first: List[int]
-    #: Per process: first-element qids of all output channels (back-pressure).
-    out_first: List[List[int]]
 
     @property
     def netlist(self) -> Netlist:
@@ -330,7 +326,6 @@ class Elaborator:
         queue_caps = [queue_capacity] * layout.n_shell_queues
         queue_names = list(layout.shell_queue_names)
         chan_chain: List[List[int]] = []
-        chan_first: List[int] = []
         for cid, cname in enumerate(layout.chan_names):
             chain: List[int] = []
             for index in range(counts[cname]):
@@ -339,10 +334,6 @@ class Elaborator:
                 queue_names.append(f"{cname}.rs{index}")
             chain.append(layout.chan_dest_qid[cid])
             chan_chain.append(chain)
-            chan_first.append(chain[0])
-        out_first = [
-            [chan_first[cid] for cid in chans] for chans in layout.out_chans
-        ]
         return ElaboratedModel(
             layout=layout,
             rs_counts=counts,
@@ -353,8 +344,6 @@ class Elaborator:
             queue_caps=queue_caps,
             queue_names=queue_names,
             chan_chain=chan_chain,
-            chan_first=chan_first,
-            out_first=out_first,
         )
 
 

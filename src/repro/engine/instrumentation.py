@@ -52,8 +52,8 @@ class InstrumentSet:
 def trace_from_lists(channels: List[str], items: List[List[object]]) -> SystemTrace:
     """Assemble a :class:`SystemTrace` from per-channel item lists.
 
-    Used by the fast kernel, which accumulates plain lists on the hot path and
-    only materialises trace objects once at the end of the run.
+    Used by the compiled kernel, which accumulates plain lists on the hot path
+    and only materialises trace objects once at the end of the run.
     """
     trace = SystemTrace(channels)
     for name, recorded in zip(channels, items):

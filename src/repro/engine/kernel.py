@@ -6,12 +6,15 @@ Three implementations exist:
 * :class:`repro.engine.reference.ReferenceKernel` — the original object-based
   machinery (Shell / RelayStation / Token objects), kept as the executable
   specification;
-* :class:`repro.engine.fast.FastKernel` — a flat array kernel over the
-  integer-indexed elaborated model, cycle-for-cycle equivalent (enforced by
-  the property suite in ``tests/test_engine.py``) and several times faster;
-* :class:`repro.engine.compiled.CompiledKernel` — generates and ``compile()``s
-  a per-netlist specialized run function (see :mod:`repro.engine.codegen`),
-  several times faster again on the hot path.
+* :class:`repro.engine.compiled.CompiledKernel` — the production kernel:
+  generates and ``compile()``s a per-layout specialized run function (see
+  :mod:`repro.engine.codegen`), cycle-for-cycle equivalent to the reference
+  (enforced by the property suites in ``tests/test_engine.py`` and
+  ``tests/test_steady_state.py``).  It is also registered as ``"fast"``, the
+  name of the interpreter it replaced;
+* :class:`repro.engine.lockstep.LockstepKernel` — many same-layout
+  configurations as NumPy arrays, falling back to the compiled kernel on
+  ineligible runs.
 
 All consume the same :class:`~repro.engine.elaboration.ElaboratedModel`, the
 same :class:`RunControls` and the same
@@ -37,9 +40,9 @@ from .result import LidResult
 
 
 #: Kernel used when none is requested explicitly (and ``REPRO_KERNEL`` is
-#: unset).  The fast kernel is the default: the equivalence property suite
-#: pins it to the reference kernel.
-DEFAULT_KERNEL = "fast"
+#: unset).  The compiled kernel is the default: the equivalence property
+#: suites pin it to the reference kernel.
+DEFAULT_KERNEL = "compiled"
 
 #: Environment variable consulted by :func:`resolve_kernel_name` when no
 #: kernel is requested explicitly (CI and benchmarks switch kernels with it).
@@ -153,8 +156,7 @@ def kernel_registry() -> Dict[str, Type[SimKernel]]:
     then raises a :class:`~repro.core.exceptions.SimulationError` naming the
     ``repro[fast]`` extra instead of an ImportError.
     """
-    from .compiled import CompiledKernel
-    from .fast import FastKernel
+    from .compiled import CompiledKernel, FastKernel
     from .lockstep import LockstepKernel
     from .reference import ReferenceKernel
 

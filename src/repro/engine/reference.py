@@ -3,8 +3,8 @@
 This is the executable specification of the latency-insensitive protocol:
 :class:`~repro.core.shell.Shell` objects wrap the processes,
 :class:`~repro.core.relay_station.RelayStation` chains pipeline the channels
-and every event is a real :class:`~repro.core.tokens.Token`.  The fast kernel
-must match it cycle-for-cycle (see ``tests/test_engine.py``); keep this code
+and every event is a real :class:`~repro.core.tokens.Token`.  The compiled
+kernel must match it cycle-for-cycle (see ``tests/test_engine.py``); keep this code
 boring and obviously correct.
 """
 

@@ -26,9 +26,8 @@ This module holds everything the kernels share:
   detection windows from periods already observed on the same layout.
 
 The hot-path work (building the snapshot key each cycle, the recurrence
-dictionary) lives inside each kernel — interpreted in
-:class:`~repro.engine.fast.FastKernel`, compiled into the generated loop by
-:mod:`repro.engine.codegen` — so detection costs stay within a few percent of
+dictionary) is compiled into the generated run loop by
+:mod:`repro.engine.codegen`, so detection costs stay within a few percent of
 the uninstrumented cycle loop.
 """
 
@@ -80,8 +79,10 @@ class DetectionPlan:
     The snapshot taken at the top of every cycle is the tuple of
 
     * the occupancy of every storage element (shell FIFOs and relay
-      stations) — all tokens live in queues at that point, so the occupancy
-      vector *is* the in-flight state;
+      stations; the compiled kernel keys one packed word per relay chain,
+      which maps one-to-one onto its stations' occupancies) — all tokens
+      live in queues at that point, so the occupancy vector *is* the
+      in-flight state;
     * under WP2, one relative tag offset ``firings(src) - firings(dest)`` per
       channel: FIFO tags are gapless, so together with the occupancies this
       pins every queued token's tag relative to its consumer (what the
@@ -300,7 +301,7 @@ def stats_jump(
 
     *base* holds copies of all six counter structures taken at the start of
     the measured period; the compiled kernel's generated jump block calls
-    this once (cold path), the fast kernel inlines the equivalent.
+    this once (cold path).
     """
     b_missing, b_blocked, b_done, b_disc, b_dp, b_mp = base
     for p in range(len(st_missing)):

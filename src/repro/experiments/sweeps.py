@@ -31,7 +31,7 @@ Every sweep also accepts ``kernel=`` (CLI ``--kernel``). Passing
 ``"lockstep"`` opts the sweep into the structure-of-arrays kernel: the batch
 layer groups same-layout rows and advances them together, one masked vector
 step per cycle (DESIGN.md §7); rows a vector step cannot represent fall back
-to the scalar fast kernel per item automatically.
+to the scalar compiled kernel per item automatically.
 """
 
 from __future__ import annotations

@@ -45,8 +45,10 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import os
 import socket
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -70,6 +72,8 @@ from .encoding import (
 )
 from .router import Router
 from .tenancy import AuthError, QuotaError, Tenant, TenantRegistry
+
+_log = logging.getLogger("repro.server")
 
 
 class HttpError(SimulationError):
@@ -175,8 +179,7 @@ class ReproServer:
         #: same cache entries) without the client restating any of it.
         self._layout_context: Dict[str, Dict[str, Any]] = {}
         self._router = self._build_router()
-        self._httpd = ThreadingHTTPServer((host, port), _Handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _HTTPServer((host, port), _Handler)
         self._httpd.app = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
@@ -776,6 +779,27 @@ def _merged_depth(topology, depth: int) -> Dict[str, int]:
         for chan in netlist.channels_of_link(link):
             counts[chan.name] = counts.get(chan.name, 0) + depth
     return counts
+
+
+class _HTTPServer(ThreadingHTTPServer):
+    """The listening socket; handler errors go to ``logging``, not stderr."""
+
+    daemon_threads = True
+
+    def handle_error(self, request, client_address) -> None:
+        exc = sys.exc_info()[1]
+        if isinstance(exc, (BrokenPipeError, ConnectionResetError)):
+            # A client that hangs up mid-response is routine, not a fault.
+            _log.warning(json.dumps({
+                "event": "client_disconnected",
+                "client": f"{client_address[0]}:{client_address[1]}",
+                "error": type(exc).__name__,
+            }))
+        else:
+            _log.error(
+                "unhandled error serving %s:%s", *client_address[:2],
+                exc_info=True,
+            )
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -1,11 +1,12 @@
 """Tests for the layered simulation engine (repro.engine).
 
 The heart of this module is the kernel-equivalence property suite: the
-array-based :class:`FastKernel` and the codegen-specialized
-:class:`CompiledKernel` must match the object-based :class:`ReferenceKernel`
-cycle-for-cycle — cycles, firings, traces, stall statistics and queue
-occupancies — across randomly generated netlists, relay-station placements,
-wrapper flavours and queue capacities.
+codegen-specialized :class:`CompiledKernel` must match the object-based
+:class:`ReferenceKernel` cycle-for-cycle — cycles, firings, traces, stall
+statistics and queue occupancies (per relay station included) — across
+randomly generated netlists, relay-station placements (chains deep enough
+that a packed relay word passes 64 bits), RS and queue capacities, wrapper
+flavours and instrument selections.
 """
 
 from __future__ import annotations
@@ -42,9 +43,20 @@ from repro.engine import (
 from repro.engine.codegen import STOP_ANY_DONE, STOP_TARGET, compiled_run_fn
 from repro.engine.kernel import KERNEL_ENV_VAR, RunControls
 
+#: ``"fast"`` is the compiled kernel's former name, kept registered for
+#: existing callers; the parametrised tests below also pin that alias.
 ALL_KERNELS = ("reference", "fast", "compiled")
-#: The optimised kernels pinned against the executable specification.
 OPTIMISED_KERNELS = ("fast", "compiled")
+
+#: Relay-station depths drawn per channel: shallow chains, and chains deep
+#: enough that the packed occupancy word passes 64 bits at every capacity.
+RS_DEPTHS = st.one_of(
+    st.integers(min_value=0, max_value=3), st.integers(min_value=30, max_value=45)
+)
+INSTRUMENT_SETS = st.builds(
+    InstrumentSet, trace=st.booleans(), shell_stats=st.booleans(),
+    occupancy=st.booleans(),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -123,24 +135,31 @@ def random_netlists(draw):
                     initial=draw(st.integers(min_value=0, max_value=5)),
                 )
             )
-            rs_counts[name] = draw(st.integers(min_value=0, max_value=3))
+            rs_counts[name] = draw(RS_DEPTHS)
             cid += 1
 
     netlist = Netlist(processes, channels, name="random")
     relaxed = draw(st.booleans())
     queue_capacity = draw(st.integers(min_value=1, max_value=5))
-    return netlist, rs_counts, relaxed, queue_capacity
+    rs_capacity = draw(st.integers(min_value=1, max_value=3))
+    return netlist, rs_counts, relaxed, queue_capacity, rs_capacity, draw(
+        INSTRUMENT_SETS
+    )
 
 
-def _run(netlist, rs_counts, relaxed, queue_capacity, kernel):
+def _run(netlist, rs_counts, relaxed, queue_capacity, kernel,
+         rs_capacity=2, instruments=None):
     """Run one kernel; normalise the (outcome kind, payload) for comparison."""
     try:
-        result = run_lid(
+        result = LidSimulator(
             netlist,
             rs_counts=rs_counts,
             relaxed=relaxed,
             queue_capacity=queue_capacity,
+            rs_capacity=rs_capacity,
             kernel=kernel,
+            instruments=instruments,
+        ).run(
             target_firings={netlist.process_names()[0]: 25},
             max_cycles=4_000,
             deadlock_limit=200,
@@ -215,14 +234,19 @@ class TestKernelEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_random_netlists(self, data):
-        """All kernels agree on cycles, firings, traces, stats, occupancy."""
-        netlist, rs_counts, relaxed, queue_capacity = data
-        kind_ref, ref = _run(netlist, rs_counts, relaxed, queue_capacity, "reference")
-        for kernel in OPTIMISED_KERNELS:
-            kind, result = _run(netlist, rs_counts, relaxed, queue_capacity, kernel)
-            assert kind_ref == kind, kernel
-            if ref is not None:
-                _assert_identical(ref, result)
+        """Compiled == reference on cycles, firings, traces, stats, occupancy."""
+        netlist, rs_counts, relaxed, queue_capacity, rs_capacity, instruments = data
+        kind_ref, ref = _run(
+            netlist, rs_counts, relaxed, queue_capacity, "reference",
+            rs_capacity, instruments,
+        )
+        kind, result = _run(
+            netlist, rs_counts, relaxed, queue_capacity, "compiled",
+            rs_capacity, instruments,
+        )
+        assert kind_ref == kind
+        if ref is not None:
+            _assert_identical(ref, result)
 
     @given(data=generated_topologies())
     @settings(
@@ -236,8 +260,9 @@ class TestKernelEquivalence:
         Scalar kernels must stay bit-identical on every shape the zoo can
         produce (rings, fan-out DAGs, meshes, tori, marked graphs, seeded
         random graphs with WP2 oracles), and a lockstep batch over the same
-        rows must match the fast kernel item for item — by taking the vector
-        path where the shape is eligible and falling back where it is not.
+        rows must match the compiled kernel item for item — by taking the
+        vector path where the shape is eligible and falling back where it is
+        not.
         """
         from repro.topology import make_topology
 
@@ -245,17 +270,16 @@ class TestKernelEquivalence:
         topology = make_topology(kind, **params)
         netlist, rs_counts = topology.netlist, topology.rs_counts
         kind_ref, ref = _run(netlist, rs_counts, relaxed, queue_capacity, "reference")
-        for kernel in OPTIMISED_KERNELS:
-            outcome, result = _run(netlist, rs_counts, relaxed, queue_capacity, kernel)
-            assert kind_ref == outcome, kernel
-            if ref is not None:
-                _assert_identical(ref, result)
+        outcome, result = _run(netlist, rs_counts, relaxed, queue_capacity, "compiled")
+        assert kind_ref == outcome
+        if ref is not None:
+            _assert_identical(ref, result)
         rows = [
             dict(rs_counts),
             {name: count + 1 for name, count in rs_counts.items()},
         ]
         outcomes = {}
-        for kernel in ("fast", "lockstep"):
+        for kernel in ("compiled", "lockstep"):
             runner = BatchRunner(
                 netlist, relaxed=relaxed,
                 queue_capacity=queue_capacity, kernel=kernel,
@@ -268,7 +292,7 @@ class TestKernelEquivalence:
             outcomes[kernel] = [
                 (r.failed, r.error, r.cycles, r.firings) for r in results
             ]
-        assert outcomes["fast"] == outcomes["lockstep"]
+        assert outcomes["compiled"] == outcomes["lockstep"]
 
     @pytest.mark.parametrize("stages,rs_total", [(1, 0), (2, 1), (3, 4), (5, 2)])
     @pytest.mark.parametrize("relaxed", [False, True])
@@ -302,8 +326,13 @@ class TestKernelEquivalence:
 # ---------------------------------------------------------------------------
 
 class TestKernelSelection:
-    def test_default_kernel_is_fast(self):
-        assert resolve_kernel_name(None) == "fast"
+    def test_default_kernel_is_compiled(self):
+        assert resolve_kernel_name(None) == "compiled"
+
+    def test_fast_is_a_name_for_the_compiled_kernel(self):
+        from repro.engine import CompiledKernel
+
+        assert issubclass(kernel_registry()["fast"], CompiledKernel)
 
     def test_unknown_kernel_rejected(self):
         netlist, rs_counts = ring_netlist(2, rs_total=1)
@@ -335,7 +364,7 @@ class TestKernelSelection:
 
     def test_empty_env_falls_back_to_default(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "")
-        assert resolve_kernel_name(None) == "fast"
+        assert resolve_kernel_name(None) == "compiled"
 
     def test_invalid_env_kernel_rejected(self, monkeypatch):
         monkeypatch.setenv(KERNEL_ENV_VAR, "warp")
@@ -639,8 +668,9 @@ class TestCodegen:
     def test_distinct_signatures_compile_separately(self):
         netlist, _ = ring_netlist(3, rs_total=0)
         elaborator = Elaborator(netlist)
+        # Depths are runtime data; only the set of chained channels counts.
         light = elaborator.bind(rs_counts={"c0_1": 1})
-        heavy = elaborator.bind(rs_counts={"c0_1": 2})
+        heavy = elaborator.bind(rs_counts={"c0_1": 2, "c1_2": 1})
         fn_light = compiled_run_fn(light, InstrumentSet.none())
         fn_heavy = compiled_run_fn(heavy, InstrumentSet.none())
         assert fn_light is not fn_heavy
@@ -650,6 +680,67 @@ class TestCodegen:
         model = elaborate(netlist, rs_counts=rs_counts)
         fn = compiled_run_fn(model, InstrumentSet.none())
         assert "def __lid_run" in fn.__lid_source__
+
+    @pytest.mark.parametrize("relaxed", [False, True])
+    def test_table1_depths_generate_at_most_two_sources(self, relaxed, monkeypatch):
+        """All 16 uniform depths of one layout share the depth-1+ source."""
+        from repro.engine import codegen
+
+        calls = []
+        generate = codegen.generate_run_source
+
+        def counting(model, *args, **kwargs):
+            calls.append(model.configuration_label)
+            return generate(model, *args, **kwargs)
+
+        monkeypatch.setattr(codegen, "generate_run_source", counting)
+        runner = BatchRunner(_sort_cpu().netlist, relaxed=relaxed, kernel="compiled")
+        configs = [
+            RSConfiguration.uniform(depth, exclude=("CU-IC",)) for depth in range(16)
+        ]
+        results = runner.run_many(configs, stop_process="CU")
+        assert all(not result.failed for result in results)
+        assert 1 <= len(calls) <= 2
+
+    def test_same_shaped_layouts_share_one_code_object(self):
+        from repro.topology import make_topology
+
+        fns = []
+        for name in ("ring-s1", "ring-s2"):
+            topology = make_topology("ring", name=name)
+            model = elaborate(topology.netlist, rs_counts=topology.rs_counts)
+            fns.append(compiled_run_fn(model, InstrumentSet.none()))
+        assert fns[0] is not fns[1]  # one function per layout namespace ...
+        assert fns[0].__code__ is fns[1].__code__  # ... over one compile
+
+    def test_code_cache_stays_within_its_bound(self, monkeypatch):
+        from collections import OrderedDict
+
+        from repro.engine import codegen
+
+        compiles = []
+
+        def counting_compile(source, *args):
+            compiles.append(source)
+            return compile(source, *args)
+
+        monkeypatch.setattr(codegen, "_CODE_CACHE", OrderedDict())
+        monkeypatch.setattr(codegen, "CODE_CACHE_SIZE", 2)
+        monkeypatch.setattr(codegen, "compile", counting_compile, raising=False)
+        netlist, _ = ring_netlist(3)
+        elaborator = Elaborator(netlist)
+        shapes = [{}, {"c0_1": 1}, {"c1_2": 1}, {"c0_1": 1, "c1_2": 1}]
+        for rs_counts in shapes:
+            compiled_run_fn(elaborator.bind(rs_counts=rs_counts), InstrumentSet.none())
+            assert len(codegen._CODE_CACHE) <= 2
+        assert len(compiles) == 4
+        # The first shape was evicted: a new layout of it compiles again,
+        # while the most recent shape is served from the cache.
+        again = Elaborator(netlist)
+        compiled_run_fn(again.bind(rs_counts=shapes[-1]), InstrumentSet.none())
+        assert len(compiles) == 4
+        compiled_run_fn(again.bind(rs_counts=shapes[0]), InstrumentSet.none())
+        assert len(compiles) == 5 and len(codegen._CODE_CACHE) == 2
 
     def test_generation_is_deterministic(self):
         netlist, rs_counts = ring_netlist(4, rs_total=3)

@@ -2,7 +2,9 @@
 
 The heart of this module is the lane-equivalence property suite: every lane
 of one vectorised :func:`run_lockstep_batch` call must be bit-identical to a
-scalar :class:`FastKernel` run of the same configuration — cycles, firings,
+scalar :class:`CompiledKernel` run (the production kernel, formerly named
+``"fast"``, which the ``*_matches_fast`` test names still refer to) of the
+same configuration — cycles, firings,
 halt flags, stall statistics, occupancy maxima, and failure outcomes
 (deadlock / timeout) — across random same-layout relay-station and capacity
 vectors, both wrapper flavours and every stop mode.  The remaining tests pin
@@ -37,8 +39,8 @@ from repro.cpu import build_pipelined_cpu, make_extraction_sort
 from repro.engine import (
     BatchResult,
     BatchRunner,
+    CompiledKernel,
     Elaborator,
-    FastKernel,
     InstrumentSet,
     LidResult,
     LockstepKernel,
@@ -69,15 +71,15 @@ def _lane_outcome(kernel_factory, controls, instruments):
     return ("ok", result)
 
 
-def _assert_lanes_match_fast(elaborator, bindings, controls, instruments):
-    """Every lockstep lane equals the scalar FastKernel run bit for bit."""
+def _assert_lanes_match_compiled(elaborator, bindings, controls, instruments):
+    """Every lockstep lane equals the scalar compiled-kernel run bit for bit."""
     models = [elaborator.bind(**binding) for binding in bindings]
     assert lockstep_reason(models[0], controls, instruments) is None
     lanes = run_lockstep_batch(models, controls, instruments)
     assert len(lanes) == len(models)
     for binding, lane in zip(bindings, lanes):
         kind, payload = _lane_outcome(
-            lambda: FastKernel(elaborator.bind(**binding)), controls, instruments
+            lambda: CompiledKernel(elaborator.bind(**binding)), controls, instruments
         )
         if isinstance(lane, DeadlockError):
             assert kind == "deadlock" and str(lane) == payload
@@ -85,14 +87,14 @@ def _assert_lanes_match_fast(elaborator, bindings, controls, instruments):
             assert kind == "timeout" and str(lane) == payload
         else:
             assert kind == "ok"
-            fast = payload
-            assert lane.cycles == fast.cycles
-            assert lane.firings == fast.firings
-            assert lane.halted == fast.halted
-            assert lane.wrapper_kind == fast.wrapper_kind
-            assert lane.rs_counts == fast.rs_counts
-            assert lane.shell_stats == fast.shell_stats
-            assert lane.max_queue_occupancy == fast.max_queue_occupancy
+            scalar = payload
+            assert lane.cycles == scalar.cycles
+            assert lane.firings == scalar.firings
+            assert lane.halted == scalar.halted
+            assert lane.wrapper_kind == scalar.wrapper_kind
+            assert lane.rs_counts == scalar.rs_counts
+            assert lane.shell_stats == scalar.shell_stats
+            assert lane.max_queue_occupancy == scalar.max_queue_occupancy
             assert all(lane.trace[name].cycles == 0 for name in lane.trace)
 
 
@@ -178,9 +180,9 @@ class TestLaneEquivalence:
         suppress_health_check=[HealthCheck.too_slow],
     )
     def test_random_lanes(self, case):
-        """Random RS/capacity vectors: all lanes bit-identical to FastKernel."""
+        """Random RS/capacity vectors: all lanes bit-identical to CompiledKernel."""
         netlist, bindings, controls = case
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings, controls, LANE_INSTRUMENTS
         )
 
@@ -206,7 +208,7 @@ class TestLaneEquivalence:
             }
             for i in range(8)
         ]
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings, controls, LANE_INSTRUMENTS
         )
 
@@ -220,7 +222,7 @@ class TestLaneEquivalence:
         )
         controls = RunControls(extra_cycles=2, max_cycles=1_000)
         bindings = [{"rs_counts": {"c": rs}} for rs in range(4)]
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings, controls, LANE_INSTRUMENTS
         )
 
@@ -238,7 +240,7 @@ class TestLaneEquivalence:
         controls = RunControls(
             target_firings={"src": 50}, max_cycles=2_000, deadlock_limit=40
         )
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             elaborator, [{"rs_counts": {"c": 1}}], controls, LANE_INSTRUMENTS
         )
 
@@ -248,7 +250,7 @@ class TestLaneEquivalence:
             target_firings={"stage0": 10_000}, max_cycles=50,
             deadlock_limit=1_000,
         )
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), [{"rs_counts": {}}], controls, LANE_INSTRUMENTS
         )
 
@@ -260,7 +262,7 @@ class TestLaneEquivalence:
             {"rs_counts": {c: (i * 7 + j) % 4 for j, c in enumerate(chans)}}
             for i in range(16)
         ]
-        _assert_lanes_match_fast(
+        _assert_lanes_match_compiled(
             Elaborator(netlist), bindings,
             RunControls(horizon=300, steady_state=False),
             InstrumentSet.none(),
@@ -368,11 +370,11 @@ class TestEligibility:
             elaborator.bind(relaxed=False), controls, InstrumentSet.none()
         ) is None
 
-    def test_ineligible_run_delegates_to_fast(self):
-        """LockstepKernel serves ineligible runs through FastKernel."""
+    def test_ineligible_run_delegates_to_compiled(self):
+        """LockstepKernel serves ineligible runs through CompiledKernel."""
         model = Elaborator(_loop_netlist(_DataDependentDone("d"))).bind()
         controls = RunControls(max_cycles=5_000)
-        expected = FastKernel(model).run(controls, InstrumentSet.all())
+        expected = CompiledKernel(model).run(controls, InstrumentSet.all())
         result = LockstepKernel(model).run(controls, InstrumentSet.all())
         assert result.cycles == expected.cycles
         assert result.firings == expected.firings
@@ -391,13 +393,13 @@ class TestEligibility:
             stop_process=machine.control_unit.name, max_cycles=200_000
         )
         configs = [RSConfiguration.uniform(0), RSConfiguration.uniform(1)]
-        fast = BatchRunner(machine.netlist, kernel="fast").run_many(
+        scalar = BatchRunner(machine.netlist, kernel="compiled").run_many(
             configs, **controls
         )
         lock = BatchRunner(machine.netlist, kernel="lockstep").run_many(
             configs, **controls
         )
-        assert fast == lock
+        assert scalar == lock
 
     def test_single_run_via_make_kernel(self):
         netlist, rs_counts = ring_netlist(4, rs_total=3)
@@ -405,13 +407,13 @@ class TestEligibility:
         controls = RunControls(
             target_firings={"stage0": 30}, max_cycles=5_000, steady_state=False
         )
-        fast = FastKernel(model).run(controls, LANE_INSTRUMENTS)
+        scalar = CompiledKernel(model).run(controls, LANE_INSTRUMENTS)
         lock = make_kernel(model, "lockstep").run(controls, LANE_INSTRUMENTS)
         assert (lock.cycles, lock.firings, lock.halted) == (
-            fast.cycles, fast.firings, fast.halted
+            scalar.cycles, scalar.firings, scalar.halted
         )
-        assert lock.shell_stats == fast.shell_stats
-        assert lock.max_queue_occupancy == fast.max_queue_occupancy
+        assert lock.shell_stats == scalar.shell_stats
+        assert lock.max_queue_occupancy == scalar.max_queue_occupancy
 
 
 # ---------------------------------------------------------------------------
@@ -427,13 +429,13 @@ class TestBatchIntegration:
             {c: (i + j) % 3 for j, c in enumerate(chans)} for i in range(10)
         ]
         controls = dict(horizon=400, steady_state=False)
-        fast = BatchRunner(netlist, kernel="fast").run_many(
+        scalar = BatchRunner(netlist, kernel="compiled").run_many(
             configs, workers=workers, **controls
         )
         lock = BatchRunner(netlist, kernel="lockstep").run_many(
             configs, workers=workers, **controls
         )
-        assert fast == lock
+        assert scalar == lock
 
     def test_per_item_capacity_overrides(self):
         netlist, _default = ring_netlist(4)
@@ -443,9 +445,9 @@ class TestBatchIntegration:
             {name: 1 for name in netlist.channels},
         ]
         controls = dict(horizon=300, steady_state=False)
-        fast = BatchRunner(netlist, kernel="fast").run_many(configs, **controls)
+        scalar = BatchRunner(netlist, kernel="compiled").run_many(configs, **controls)
         lock = BatchRunner(netlist, kernel="lockstep").run_many(configs, **controls)
-        assert fast == lock
+        assert scalar == lock
 
     def test_on_error_zero_converts_lane_failures(self):
         netlist = Netlist(
@@ -458,13 +460,13 @@ class TestBatchIntegration:
         controls = dict(
             target_firings={"src": 50}, max_cycles=2_000, deadlock_limit=40
         )
-        fast = BatchRunner(netlist, kernel="fast").run_many(
+        scalar = BatchRunner(netlist, kernel="compiled").run_many(
             configs, on_error="zero", **controls
         )
         lock = BatchRunner(netlist, kernel="lockstep").run_many(
             configs, on_error="zero", **controls
         )
-        assert fast == lock
+        assert scalar == lock
         assert all(result.failed for result in lock)
 
     def test_on_error_raise_raises_lane_failure(self):
@@ -491,13 +493,13 @@ class TestBatchIntegration:
                 (name, {c: (i + j) % 2 for j, c in enumerate(netlist.channels)})
             )
         controls = dict(horizon=300, steady_state=False)
-        fast = MultiNetlistRunner.from_netlists(
-            {"r3": ring3, "r4": ring4}, kernel="fast"
+        scalar = MultiNetlistRunner.from_netlists(
+            {"r3": ring3, "r4": ring4}, kernel="compiled"
         ).run_many(items, **controls)
         lock = MultiNetlistRunner.from_netlists(
             {"r3": ring3, "r4": ring4}, kernel="lockstep"
         ).run_many(items, **controls)
-        assert fast == lock
+        assert scalar == lock
 
     def test_objective_adapter_matches_fast(self):
         netlist, _default = ring_netlist(4)
@@ -513,7 +515,7 @@ class TestBatchIntegration:
             )
             return objective.many([dict(a) for a in assignments])
 
-        assert scores("lockstep") == scores("fast")
+        assert scores("lockstep") == scores("compiled")
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +547,7 @@ class TestSelectionAndDegradation:
             [{}, {c: 1 for c in netlist.channels}],
             horizon=100, steady_state=False,
         )
-        expected = BatchRunner(netlist, kernel="fast").run_many(
+        expected = BatchRunner(netlist, kernel="compiled").run_many(
             [{}, {c: 1 for c in netlist.channels}],
             horizon=100, steady_state=False,
         )

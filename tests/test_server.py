@@ -643,6 +643,46 @@ class TestChaos:
         rows = client.rows(reply["job_set_id"], binary=True)
         assert [row["index"] for row in rows] == [0, 1]
 
+    def test_client_hanging_up_logs_one_line(self, server, capfd, caplog):
+        # A client that resets its connection, mid-stream or while the
+        # daemon waits for its next keep-alive request, must leave one
+        # structured log record, never a raw traceback on stderr.
+        import socket
+        import struct
+        import time
+
+        client = make_client(server)
+        reply = client.submit(SORT_BODY)
+        client.fetch(reply["job_set_id"])
+        host, port = server.address
+        caplog.set_level("WARNING", logger="repro.server")
+        for read_all in (False, True):
+            conn = socket.create_connection((host, port), timeout=30)
+            conn.sendall(
+                f"GET /v1/jobs/{reply['job_set_id']}/stream HTTP/1.1\r\n"
+                f"Host: {host}\r\n\r\n".encode("ascii")
+            )
+            seen = conn.recv(65536)
+            while read_all and not seen.endswith(b"0\r\n\r\n"):
+                seen += conn.recv(65536)
+            assert seen.startswith(b"HTTP/1.1 200")
+            # SO_LINGER 0: close() sends a reset instead of a FIN.
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            conn.close()
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not caplog.records:
+            time.sleep(0.05)
+        assert client.fetch(reply["job_set_id"])["rows"]  # still serving
+        records = [json.loads(r.getMessage()) for r in caplog.records]
+        assert records and all(
+            r["event"] == "client_disconnected"
+            and r["error"] in ("BrokenPipeError", "ConnectionResetError")
+            for r in records
+        )
+        assert "Traceback" not in capfd.readouterr().err
+
     def test_daemon_restart_replays_from_the_warm_cache(self, tmp_path):
         cache_dir = tmp_path / "cache"
         body = {**SORT_BODY, "configurations": [0, 1, 2, 3]}
