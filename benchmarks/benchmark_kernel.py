@@ -44,8 +44,9 @@ QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 #: recorded verbatim in the JSON perf record).
 MIN_COMPILED_SPEEDUP = 6.0
 #: Ceiling on the default kernel's cost per simulated cycle over the serial
-#: 64-row Table-1 sweep, code generation included (about 5 µs measured on a
-#: 2-core x86-64 host; the ceiling leaves more than 2x headroom).
+#: 64-row Table-1 sweep from a cold code cache, source generation and
+#: compile() included (about 5 µs measured on a 2-core x86-64 host; the
+#: ceiling leaves more than 2x headroom).
 MAX_SWEEP_US_PER_CYCLE = 12.0
 #: Long-horizon floors: compiled + steady-state extrapolation must beat the
 #: reference kernel by 25x at the short horizon and the compiled kernel
@@ -149,15 +150,15 @@ def _measure_table1_sweep():
 
     Sort (length 10) and matrix multiply (3x3) CPUs, WP1 and WP2, uniform
     relay-station depths 0-15 outside CU-IC: the rows the paper's Table 1
-    and the serving benchmark sweep.  Fresh CPUs are built for every repeat,
-    so each one pays layout elaboration and code generation like a new
-    daemon layout does (the process-wide code cache stays warm, as in a
-    running daemon).
+    and the serving benchmark sweep.  Fresh CPUs are built and the
+    process-wide code cache is emptied for every repeat, so each one pays
+    layout elaboration, source generation and compile() like a fresh
+    daemon's first sweep does.
     """
     from repro.core import RSConfiguration
     from repro.cpu import build_pipelined_cpu
     from repro.cpu.workloads import make_extraction_sort, make_matrix_multiply
-    from repro.engine import BatchRunner, resolve_kernel_name
+    from repro.engine import BatchRunner, codegen, resolve_kernel_name
 
     kernel = resolve_kernel_name(None)
     configs = [
@@ -165,6 +166,8 @@ def _measure_table1_sweep():
     ]
 
     def sweep():
+        with codegen._CODE_CACHE_LOCK:
+            codegen._CODE_CACHE.clear()
         cycles = rows = 0
         for workload in (
             make_extraction_sort(length=10, seed=2005),

@@ -5,9 +5,9 @@ Reads the newest record of the ``BENCH_kernel.json`` history (produced by
 
 * the compiled kernel's minimum speedup over the reference kernel across
   all Table 1 rows drops below ``--floor``;
-* the default kernel costs more than ``--sweep-us-ceiling`` µs per
-  simulated cycle on the serial 64-row Table-1 sweep (an absolute gate
-  next to the ratios, code generation included);
+* the default kernel costs more than ``SWEEP_US_CEILING`` µs per simulated
+  cycle on the serial 64-row Table-1 sweep from a cold code cache (an
+  absolute gate next to the ratios);
 * the long-horizon steady-state floors regress: compiled + steady-state
   extrapolation must beat the reference kernel by ``--steady-floor`` at the
   short measurement horizon and the compiled kernel without detection by
@@ -53,6 +53,10 @@ DEFAULT_SERVICE_RECORD = (
 DEFAULT_TOPOLOGY_RECORD = (
     Path(__file__).resolve().parent.parent / "BENCH_topology.json"
 )
+#: Ceiling on the default kernel's µs per simulated cycle over the serial
+#: 64-row Table-1 sweep; the same value as ``MAX_SWEEP_US_PER_CYCLE`` in
+#: ``benchmark_kernel.py``, which asserts it when the record is written.
+SWEEP_US_CEILING = 12.0
 
 
 def main(argv=None) -> int:
@@ -60,13 +64,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--floor", type=float, default=6.0,
         help="minimum compiled/reference speedup (default: 6)",
-    )
-    parser.add_argument(
-        "--sweep-us-ceiling", type=float, default=12.0,
-        help=(
-            "maximum default-kernel µs per simulated cycle on the serial "
-            "64-row Table-1 sweep (default: 12)"
-        ),
     )
     parser.add_argument(
         "--steady-floor", type=float, default=25.0,
@@ -166,27 +163,7 @@ def main(argv=None) -> int:
         )
         failed = True
 
-    sweep = latest.get("table1_sweep")
-    if not sweep:
-        print(
-            "perf floor FAILED: record carries no table1_sweep measurement",
-            file=sys.stderr,
-        )
-        failed = True
-    else:
-        cost = sweep["us_per_cycle"]
-        print(
-            f"perf floor: {sweep.get('kernel')} kernel {cost:.2f} us/cycle on "
-            f"the {sweep.get('rows')}-row Table-1 sweep, ceiling "
-            f"{args.sweep_us_ceiling:.2f}"
-        )
-        if cost > args.sweep_us_ceiling:
-            print(
-                f"perf floor FAILED: {cost:.2f} us/cycle > "
-                f"{args.sweep_us_ceiling:.2f} on the Table-1 sweep",
-                file=sys.stderr,
-            )
-            failed = True
+    failed |= _check_sweep_ceiling(latest, SWEEP_US_CEILING)
 
     steady = latest.get("steady_state")
     if not steady:
@@ -291,6 +268,30 @@ def main(argv=None) -> int:
         )
 
     return 1 if failed else 0
+
+
+def _check_sweep_ceiling(latest, ceiling: float) -> bool:
+    """Enforce the Table-1 sweep's µs-per-cycle ceiling; True on failure."""
+    sweep = latest.get("table1_sweep")
+    if not sweep:
+        print(
+            "perf floor FAILED: record carries no table1_sweep measurement",
+            file=sys.stderr,
+        )
+        return True
+    cost = sweep["us_per_cycle"]
+    print(
+        f"perf floor: {sweep.get('kernel')} kernel {cost:.2f} us/cycle on "
+        f"the {sweep.get('rows')}-row Table-1 sweep, ceiling {ceiling:.2f}"
+    )
+    if cost > ceiling:
+        print(
+            f"perf floor FAILED: {cost:.2f} us/cycle > {ceiling:.2f} on the "
+            "Table-1 sweep",
+            file=sys.stderr,
+        )
+        return True
+    return False
 
 
 def _check_lockstep_floor(latest, floor, compiled_floor) -> bool:

@@ -169,9 +169,7 @@ def relay_words(model: ElaboratedModel) -> Tuple[Tuple[int, ...], List]:
     """Per-run data of the packed relay chains: ``(caps, per-channel masks)``.
 
     ``caps`` is ``(queue capacity, RS capacity, width, value bits, hop
-    multiplier, field-0 mask, deep)``, where *deep* says whether any chain
-    has two or more stations (otherwise no internal hop exists and the loop
-    skips their bookkeeping); the masks of a channel with *k* relay
+    multiplier, field-0 mask)``; the masks of a channel with *k* relay
     stations (``None`` without any) are
 
     * ``M`` — ``2^v - 1`` in every field: ``(c + M)`` sets a field's guard
@@ -206,7 +204,7 @@ def relay_words(model: ElaboratedModel) -> Tuple[Tuple[int, ...], List]:
         ))
     caps = (
         model.queue_capacity, capacity, width, value_bits, field_one,
-        (1 << value_bits) - 1, any(len(chain) > 2 for chain in model.chan_chain),
+        (1 << value_bits) - 1,
     )
     return caps, chains
 
@@ -433,7 +431,7 @@ class _Generator:
         w.emit("for _proc in procs:")
         with _Block(w):
             w.emit("_proc.reset()")
-        w.emit("_qc, _rc, _w, _w1, _K, _vm, _deep = caps")
+        w.emit("_qc, _rc, _w, _w1, _K, _vm = caps")
         appended = set(self.dest)
         for q in range(self.n_queues):
             w.emit(f"q{q} = deque()")
@@ -515,15 +513,11 @@ class _Generator:
         # is non-empty and i+1 not full: the guard bits of (c + M) and of
         # (c + F) shifted down one field select every such i at once.  The
         # top station's hop into the FIFO tests the FIFO's counter.
-        if self.rs_cids:
-            w.emit("if _deep:")
-            with _Block(w):
-                for cid in self.rs_cids:
-                    w.emit(
-                        f"h{cid} = c{cid} & _lo{cid} and (c{cid} + _m{cid}) & "
-                        f"~((c{cid} + _f{cid}) >> _w) & _i{cid}"
-                    )
         for cid in self.rs_cids:
+            w.emit(
+                f"h{cid} = c{cid} & _lo{cid} and (c{cid} + _m{cid}) & "
+                f"~((c{cid} + _f{cid}) >> _w) & _i{cid}"
+            )
             w.emit(f"t{cid} = c{cid} >= _t{cid} and n{self.dest[cid]} < _qc")
         for q in sorted(self.guard_copy):
             w.emit(f"l{q} = n{q}")
@@ -538,14 +532,10 @@ class _Generator:
         # Phase 3: commit relay-station moves, then deferred launches.  A
         # selected internal hop i adds 2^((i+1)w) - 2^(iw) = 2^(iw) * K to
         # the word, so all of them commit as one multiply-add.
-        if self.rs_cids:
-            w.emit("if _deep:")
-            with _Block(w):
-                for cid in self.rs_cids:
-                    w.emit(f"if h{cid}:")
-                    with _Block(w):
-                        w.emit(f"c{cid} += (h{cid} >> _w1) * _K")
         for cid in self.rs_cids:
+            w.emit(f"if h{cid}:")
+            with _Block(w):
+                w.emit(f"c{cid} += (h{cid} >> _w1) * _K")
             w.emit(f"if t{cid}:")
             with _Block(w):
                 w.emit(f"c{cid} -= _t{cid}")
@@ -566,23 +556,13 @@ class _Generator:
             # internal hop, so x needs updating only after a hop or when
             # field 0 passed its maximum; then the guard bit of (x | G) - c
             # is set where x_i >= c_i, and spreading it over the field
-            # selects x_i there.  Single-station chains are plain maxima.
-            w.emit("if _deep:")
-            with _Block(w):
-                for cid in self.rs_cids:
-                    w.emit(
-                        f"if h{cid} or c{cid} & _vm > x{cid} & _vm:"
-                    )
-                    with _Block(w):
-                        w.emit(f"_d = ((x{cid} | _g{cid}) - c{cid}) & _g{cid}")
-                        w.emit("_d -= _d >> _w1")
-                        w.emit(f"x{cid} = (x{cid} & _d) | (c{cid} & ~_d)")
-            w.emit("else:")
-            with _Block(w):
-                for cid in self.rs_cids:
-                    w.emit(f"if c{cid} > x{cid}:")
-                    with _Block(w):
-                        w.emit(f"x{cid} = c{cid}")
+            # selects x_i there.
+            for cid in self.rs_cids:
+                w.emit(f"if h{cid} or c{cid} & _vm > x{cid} & _vm:")
+                with _Block(w):
+                    w.emit(f"_d = ((x{cid} | _g{cid}) - c{cid}) & _g{cid}")
+                    w.emit("_d -= _d >> _w1")
+                    w.emit(f"x{cid} = (x{cid} & _d) | (c{cid} & ~_d)")
 
         if self.tracing:
             w.emit("for _cl, _cv in zip(chan_items, _e):")
